@@ -21,12 +21,21 @@
 //!   acceptance floor is 10x on `spmv` at 1M nonzeros and a 5x
 //!   geomean across the swept kernels at the largest size
 //!   (`compiled/geomean_speedup_x1000`).
-//! - `hybrid_speedup_x1000` — hybrid-treewalk over hybrid-compiled.
+//! - `hybrid_speedup_x1000` — hybrid-treewalk over hybrid-compiled:
+//!   bytecode workers against tree-walking workers. CI requires it
+//!   above 1000 for every combo.
+//! - `bytecode_over_hybrid_x1000` — single-thread bytecode over
+//!   hybrid-compiled: above 1000 when the parallel tier beats the best
+//!   single-thread engine on the same kernel.
 //! - `compiled_loops` / `compiled_worker_dispatches` /
+//!   `typed_worker_chunks` / `treewalk_worker_chunks` /
 //!   `compiled_fallbacks` — sequential-tier bytecode entries, parallel
-//!   dispatches with bytecode workers, and reason-coded interpreter
-//!   fallbacks, from one instrumented hybrid run. CI gates on the
-//!   sweep keeping the first two jointly nonzero.
+//!   dispatches that requested bytecode workers, worker chunks the
+//!   typed engine ran and chunks that tree-walked, and reason-coded
+//!   interpreter fallbacks, from one instrumented hybrid run. CI gates
+//!   on the sweep keeping bytecode entries plus typed chunks nonzero.
+//! - `host/available_parallelism` — the core count the hybrid rows
+//!   ran on (the hybrid runtime's default 4 worker threads share it).
 //! - `compiled/opcodes/{name}` — per-opcode dispatch counts from one
 //!   profiled `spmv` pass at the largest size. Profiling pins the
 //!   untyped per-op path (the typed and pinned fast paths have no
@@ -84,7 +93,9 @@ fn main() {
         "COMPILED_MAX_NNZ below the smallest size"
     );
     let top = *sizes.last().expect("non-empty sizes");
-    println!("compiled sweep: nnz {sizes:?} (cap {cap}), kernels {SWEPT:?}");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    r.annotate("host/available_parallelism", cores as u64);
+    println!("compiled sweep: nnz {sizes:?} (cap {cap}), kernels {SWEPT:?}, {cores} cores");
 
     // (kernel, single-thread speedup) at the largest size, for the
     // geomean gate.
@@ -157,6 +168,17 @@ fn main() {
                     );
                 }
             }
+            if let (Some(byte), Some(comp)) = (
+                r.median_of(&format!("compiled/{combo}/bytecode")),
+                r.median_of(&format!("compiled/{combo}/hybrid_compiled")),
+            ) {
+                if comp > 0 {
+                    r.annotate(
+                        &format!("compiled/{combo}/bytecode_over_hybrid_x1000"),
+                        (byte as f64 / comp as f64 * 1000.0) as u64,
+                    );
+                }
+            }
             let probe = run_hybrid_seeded(&rep, hybrid_config(true), &presets)
                 .expect("telemetry probe run");
             r.annotate(
@@ -166,6 +188,14 @@ fn main() {
             r.annotate(
                 &format!("compiled/{combo}/compiled_worker_dispatches"),
                 probe.telemetry.compiled_worker_dispatches,
+            );
+            r.annotate(
+                &format!("compiled/{combo}/typed_worker_chunks"),
+                probe.telemetry.typed_worker_chunks,
+            );
+            r.annotate(
+                &format!("compiled/{combo}/treewalk_worker_chunks"),
+                probe.telemetry.treewalk_worker_chunks,
             );
             r.annotate(
                 &format!("compiled/{combo}/compiled_fallbacks"),

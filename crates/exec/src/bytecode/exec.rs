@@ -648,18 +648,6 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// Runs one iteration's worth of the root block — the parallel
-    /// workers' chunk body (the worker loop drives the induction
-    /// variable, deadline, and per-iteration charge itself, exactly as
-    /// it does around `exec_body`).
-    pub(crate) fn run_compiled_body_block(
-        &mut self,
-        cb: &CompiledBody,
-        temps: &mut [Value],
-    ) -> Result<(), ExecError> {
-        self.run_block(cb, cb.root, temps)
-    }
-
     fn run_block(
         &mut self,
         cb: &CompiledBody,

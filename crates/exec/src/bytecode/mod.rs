@@ -51,7 +51,7 @@ mod exec;
 mod fast;
 mod lower;
 
-pub(crate) use fast::{specialize, FastBody};
+pub(crate) use fast::{specialize, ChunkPins, ElemLog, FastBody, DEADLINE_EVERY};
 pub use lower::{lower_do_loop, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
@@ -293,10 +293,12 @@ impl Op {
     }
 }
 
-/// Per-opcode dispatch counters, collected when profiling is enabled
-/// on the interpreter ([`crate::Interp::compiled_profile`]) and merged
-/// from parallel workers at commit. Kept out of [`crate::ExecStats`]
-/// so stats equality between tiers stays byte-identical.
+/// Per-opcode dispatch counters, collected on the sequential tier when
+/// profiling is enabled on the interpreter
+/// ([`crate::Interp::compiled_profile`]); parallel workers run the
+/// typed engine, which has no per-op hook. Kept out of
+/// [`crate::ExecStats`] so stats equality between tiers stays
+/// byte-identical.
 #[derive(Clone, Debug)]
 pub struct CompiledProfile {
     /// Dispatch count per opcode, index-aligned with [`OPCODE_NAMES`].
@@ -314,13 +316,6 @@ impl CompiledProfile {
     pub fn new() -> CompiledProfile {
         CompiledProfile {
             counts: [0; OPCODE_COUNT],
-        }
-    }
-
-    /// Adds another profile's counts (worker merge).
-    pub fn merge(&mut self, other: &CompiledProfile) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
         }
     }
 

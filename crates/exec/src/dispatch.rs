@@ -107,6 +107,14 @@ pub trait LoopDispatcher {
     /// The default is a no-op.
     fn parallel_committed(&mut self, _loop_stmt: StmtId, _strategy: ExecutionStrategy) {}
 
+    /// Reports, just before [`LoopDispatcher::parallel_committed`],
+    /// which engine ran the committed dispatch's chunks: `typed` chunks
+    /// the typed bytecode engine ran to their end, `treewalk` chunks
+    /// that tree-walked every iteration (the body has no typed form,
+    /// bytecode workers were not requested, or an array stayed
+    /// unmaterialized). The default is a no-op.
+    fn parallel_engines(&mut self, _loop_stmt: StmtId, _typed: u64, _treewalk: u64) {}
+
     /// Notifies the dispatcher that its most recent
     /// [`Compiled`](LoopDecision::Compiled) decision for `loop_stmt`
     /// ran to completion through the bytecode tier. The default is a

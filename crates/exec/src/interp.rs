@@ -212,14 +212,14 @@ impl ConcatBuf {
         }
     }
 
-    fn push(&mut self, val: Value) {
+    pub(crate) fn push(&mut self, val: Value) {
         match self {
             ConcatBuf::Int(v) => v.push(val.as_int()),
             ConcatBuf::Real(v) => v.push(val.as_real()),
         }
     }
 
-    fn set_last(&mut self, val: Value) {
+    pub(crate) fn set_last(&mut self, val: Value) {
         match self {
             ConcatBuf::Int(v) => *v.last_mut().expect("non-empty") = val.as_int(),
             ConcatBuf::Real(v) => *v.last_mut().expect("non-empty") = val.as_real(),
@@ -959,9 +959,10 @@ impl<'p> Interp<'p> {
                 }
                 match dispatcher.dispatch(&self.store, s, lo, hi, step) {
                     LoopDecision::Parallel(plan) => {
-                        match crate::parallel::exec_do_parallel(self, s, &plan, lo, hi, step) {
-                            Ok(strategy) => {
-                                dispatcher.parallel_committed(s, strategy);
+                        match crate::parallel::dispatch_parallel(self, s, &plan, lo, hi, step) {
+                            Ok(c) => {
+                                dispatcher.parallel_engines(s, c.typed_chunks, c.treewalk_chunks);
+                                dispatcher.parallel_committed(s, c.strategy);
                                 return Ok(());
                             }
                             // Genuine runtime errors inside a worker are

@@ -11,9 +11,67 @@
 //! group): the inspector pays `O(section)` on *every* execution, the
 //! compile-time query pays once.
 
-use crate::interp::Store;
+use crate::interp::{ArrayData, Store};
 use irr_frontend::VarId;
 use std::collections::HashSet;
+
+/// An index array's payload read in place: integer payloads exactly,
+/// real payloads truncated as the interpreter's `Value::as_int` does.
+/// Inspections never copy the array.
+#[derive(Clone, Copy)]
+enum Ints<'a> {
+    Int(&'a [i64]),
+    Real(&'a [f64]),
+}
+
+impl<'a> Ints<'a> {
+    /// The payload of `arr`, if materialized.
+    fn of(store: &'a Store, arr: VarId) -> Option<Ints<'a>> {
+        Some(match store.array_ref(arr)? {
+            ArrayData::Int { data, .. } => Ints::Int(data),
+            ArrayData::Real { data, .. } => Ints::Real(data),
+        })
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Ints::Int(d) => d.len(),
+            Ints::Real(d) => d.len(),
+        }
+    }
+
+    /// Element `k` (0-based).
+    fn at(self, k: usize) -> i64 {
+        match self {
+            Ints::Int(d) => d[k],
+            Ints::Real(d) => d[k] as i64,
+        }
+    }
+
+    /// Elements `a..b` (0-based, half-open).
+    fn slice(self, a: usize, b: usize) -> Ints<'a> {
+        match self {
+            Ints::Int(d) => Ints::Int(&d[a..b]),
+            Ints::Real(d) => Ints::Real(&d[a..b]),
+        }
+    }
+
+    /// Contiguous chunks of at most `n` elements.
+    fn chunks(self, n: usize) -> Vec<Ints<'a>> {
+        (0..self.len())
+            .step_by(n)
+            .map(|a| self.slice(a, (a + n).min(self.len())))
+            .collect()
+    }
+
+    /// Whether `f` holds for every element, stopping at the first miss.
+    fn all(self, mut f: impl FnMut(i64) -> bool) -> bool {
+        match self {
+            Ints::Int(d) => d.iter().all(|&v| f(v)),
+            Ints::Real(d) => d.iter().all(|&v| f(v as i64)),
+        }
+    }
+}
 
 /// Result of a run-time inspection.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,20 +95,19 @@ pub fn inspect_injective(store: &Store, idx: VarId, lo: i64, hi: i64) -> Inspect
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let Some(values) = store.array_as_reals(idx) else {
+    let Some(values) = Ints::of(store, idx) else {
         return Inspection::Sequential;
     };
     if lo < 1 || hi as usize > values.len() {
         return Inspection::Sequential;
     }
     let mut seen = HashSet::with_capacity((hi - lo + 1).max(0) as usize);
-    for k in lo..=hi {
-        let v = values[(k - 1) as usize] as i64;
-        if !seen.insert(v) {
-            return Inspection::Sequential;
-        }
+    let section = values.slice((lo - 1) as usize, hi as usize);
+    if section.all(|v| seen.insert(v)) {
+        Inspection::ParallelOk
+    } else {
+        Inspection::Sequential
     }
-    Inspection::ParallelOk
 }
 
 /// Inspects whether `idx(lo..=hi)` values all lie within
@@ -70,19 +127,18 @@ pub fn inspect_bounded(
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let Some(values) = store.array_as_reals(idx) else {
+    let Some(values) = Ints::of(store, idx) else {
         return Inspection::Sequential;
     };
     if lo < 1 || hi as usize > values.len() {
         return Inspection::Sequential;
     }
-    for k in lo..=hi {
-        let v = values[(k - 1) as usize] as i64;
-        if v < val_lo || v > val_hi {
-            return Inspection::Sequential;
-        }
+    let section = values.slice((lo - 1) as usize, hi as usize);
+    if section.all(|v| val_lo <= v && v <= val_hi) {
+        Inspection::ParallelOk
+    } else {
+        Inspection::Sequential
     }
-    Inspection::ParallelOk
 }
 
 /// Parallel counterpart of [`inspect_injective`]: splits the section
@@ -112,13 +168,13 @@ pub fn inspect_injective_parallel(
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let Some(values) = store.array_as_reals(idx) else {
+    let Some(values) = Ints::of(store, idx) else {
         return Inspection::Sequential;
     };
     if lo < 1 || hi as usize > values.len() {
         return Inspection::Sequential;
     }
-    let section = &values[(lo - 1) as usize..hi as usize];
+    let section = values.slice((lo - 1) as usize, hi as usize);
     let threads = threads.clamp(1, section.len());
     if threads == 1 {
         return inspect_injective(store, idx, lo, hi);
@@ -128,15 +184,16 @@ pub fn inspect_injective_parallel(
     let (min, max) = std::thread::scope(|scope| {
         let handles: Vec<_> = section
             .chunks(chunk_len)
+            .into_iter()
             .map(|c| {
                 scope.spawn(move || {
                     let mut mn = i64::MAX;
                     let mut mx = i64::MIN;
-                    for &v in c {
-                        let v = v as i64;
+                    c.all(|v| {
                         mn = mn.min(v);
                         mx = mx.max(v);
-                    }
+                        true
+                    });
                     (mn, mx)
                 })
             })
@@ -163,18 +220,19 @@ pub fn inspect_injective_parallel(
     let bitmaps: Vec<Option<Vec<u64>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = section
             .chunks(chunk_len)
+            .into_iter()
             .map(|c| {
                 scope.spawn(move || {
                     let mut bits = vec![0u64; words];
-                    for &v in c {
-                        let d = (v as i64 - min) as usize;
+                    let distinct = c.all(|v| {
+                        let d = (v - min) as usize;
                         let (w, b) = (d / 64, d % 64);
-                        if bits[w] & (1 << b) != 0 {
-                            return None; // duplicate inside this chunk
-                        }
+                        let fresh = bits[w] & (1 << b) == 0;
                         bits[w] |= 1 << b;
-                    }
-                    Some(bits)
+                        fresh
+                    });
+                    // A duplicate inside this chunk is a `None`.
+                    distinct.then_some(bits)
                 })
             })
             .collect();
@@ -204,15 +262,20 @@ pub fn inspect_injective_parallel(
 /// inside a chunk surfaces as adjacent equal elements — and a k-way
 /// merge scan over the sorted chunks catches duplicates across chunks.
 /// Memory is `O(section)` regardless of the value range.
-fn inspect_injective_sparse_set(section: &[f64], chunk_len: usize) -> Inspection {
+fn inspect_injective_sparse_set(section: Ints<'_>, chunk_len: usize) -> Inspection {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let sorted: Vec<Option<Vec<i64>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = section
             .chunks(chunk_len)
+            .into_iter()
             .map(|c| {
                 scope.spawn(move || {
-                    let mut v: Vec<i64> = c.iter().map(|&x| x as i64).collect();
+                    let mut v: Vec<i64> = Vec::with_capacity(c.len());
+                    c.all(|x| {
+                        v.push(x);
+                        true
+                    });
                     v.sort_unstable();
                     if v.windows(2).any(|w| w[0] == w[1]) {
                         return None; // duplicate inside this chunk
@@ -270,13 +333,13 @@ pub fn inspect_bounded_parallel(
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let Some(values) = store.array_as_reals(idx) else {
+    let Some(values) = Ints::of(store, idx) else {
         return Inspection::Sequential;
     };
     if lo < 1 || hi as usize > values.len() {
         return Inspection::Sequential;
     }
-    let section = &values[(lo - 1) as usize..hi as usize];
+    let section = values.slice((lo - 1) as usize, hi as usize);
     let threads = threads.clamp(1, section.len());
     if threads == 1 {
         return inspect_bounded(store, idx, lo, hi, val_lo, val_hi);
@@ -285,14 +348,8 @@ pub fn inspect_bounded_parallel(
     let all_in = std::thread::scope(|scope| {
         let handles: Vec<_> = section
             .chunks(chunk_len)
-            .map(|c| {
-                scope.spawn(move || {
-                    c.iter().all(|&v| {
-                        let v = v as i64;
-                        v >= val_lo && v <= val_hi
-                    })
-                })
-            })
+            .into_iter()
+            .map(|c| scope.spawn(move || c.all(|v| val_lo <= v && v <= val_hi)))
             .collect();
         handles
             .into_iter()
@@ -322,19 +379,19 @@ pub fn inspect_offset_length(
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let (Some(p), Some(l)) = (store.array_as_reals(ptr), store.array_as_reals(len)) else {
+    let (Some(p), Some(l)) = (Ints::of(store, ptr), Ints::of(store, len)) else {
         return Inspection::Sequential;
     };
     if lo < 1 || (hi + 1) as usize > p.len() || hi as usize > l.len() {
         return Inspection::Sequential;
     }
     for k in lo..=hi {
-        let lk = l[(k - 1) as usize] as i64;
+        let lk = l.at((k - 1) as usize);
         if lk < 0 {
             return Inspection::Sequential;
         }
-        let pk = p[(k - 1) as usize] as i64;
-        let pk1 = p[k as usize] as i64;
+        let pk = p.at((k - 1) as usize);
+        let pk1 = p.at(k as usize);
         // Widened like the injectivity inspector's range arithmetic:
         // extreme stored values must fail the equation, not overflow.
         if pk1 as i128 != pk as i128 + lk as i128 {
@@ -525,6 +582,43 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn integer_payloads_are_read_exactly_above_two_pow_53() {
+        // 2^53 and 2^53 + 1 are distinct integers but the same `f64`:
+        // an inspector that widened the payload to reals would call
+        // the section non-injective and the offset chain broken.
+        let p = parse_program(
+            "program t
+             integer idx(2), ptr(3), len(2)
+             end",
+        )
+        .unwrap();
+        let [idx, ptr, len] = ["idx", "ptr", "len"].map(|n| p.symbols.lookup(n).unwrap());
+        let big = 1i64 << 53;
+        let ints = |data: Vec<i64>| crate::interp::ArrayData::Int {
+            dims: vec![data.len()],
+            data,
+        };
+        let mut it = Interp::new(&p);
+        it.preset_array(idx, ints(vec![big, big + 1]));
+        it.preset_array(ptr, ints(vec![big, big + 1, big + 2]));
+        it.preset_array(len, ints(vec![1, 1]));
+        let store = it.run().unwrap().store;
+        assert_eq!(inspect_injective(&store, idx, 1, 2), Inspection::ParallelOk);
+        assert_eq!(
+            inspect_injective_parallel(&store, idx, 1, 2, 2),
+            Inspection::ParallelOk
+        );
+        assert_eq!(
+            inspect_bounded(&store, idx, 1, 2, big + 1, big + 1),
+            Inspection::Sequential
+        );
+        assert_eq!(
+            inspect_offset_length(&store, ptr, len, 1, 2),
+            Inspection::ParallelOk
+        );
     }
 
     #[test]

@@ -499,6 +499,11 @@ impl LoopDispatcher for HybridDispatcher {
         }
     }
 
+    fn parallel_engines(&mut self, _loop_stmt: StmtId, typed: u64, treewalk: u64) {
+        self.telemetry.typed_worker_chunks += typed;
+        self.telemetry.treewalk_worker_chunks += treewalk;
+    }
+
     fn compiled_committed(&mut self, _loop_stmt: StmtId) {
         self.telemetry.compiled_loops += 1;
     }

@@ -99,8 +99,17 @@ pub struct Telemetry {
     /// Parallel dispatches whose plan requested bytecode workers (the
     /// compiled tier inside the parallel path). A request, not a
     /// promise — the master re-lowers before spawning and workers
-    /// silently tree-walk when that fails.
+    /// tree-walk when that fails (see `treewalk_worker_chunks`).
     pub compiled_worker_dispatches: u64,
+    /// Worker chunks of committed parallel dispatches that the typed
+    /// bytecode engine ran to their end (leading iterations may
+    /// tree-walk until the body's arrays are materialized).
+    pub typed_worker_chunks: u64,
+    /// Worker chunks of committed parallel dispatches that tree-walked
+    /// every iteration: bytecode workers were not requested, the body
+    /// has no typed form, or an array it pins never materialized. A
+    /// silent downgrade of bytecode workers shows up here.
+    pub treewalk_worker_chunks: u64,
     /// Compiled-tier dispatches that fell back to the tree-walk because
     /// the executor's own re-lowering rejected the nest (the verdict's
     /// advisory plan diverged from the authoritative lowering).

@@ -4,7 +4,7 @@
 use irr_repro::driver::{compile_source, CompilationReport, DispatchTier, DriverOptions};
 use irr_repro::exec::{ExecOutcome, Interp};
 use irr_repro::programs::sparse::{
-    kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale,
+    interproc_kernels, kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale,
 };
 use irr_repro::runtime::{run_hybrid_seeded, HybridConfig, HybridOutcome};
 use irr_repro::sparse::Structure;
@@ -186,6 +186,31 @@ fn dispatch_telemetry_matches_the_tier_map() {
             _ => {}
         }
     }
+}
+
+/// Every committed parallel dispatch of the fourteen library kernels
+/// runs every chunk on the typed bytecode engine. Workers that silently
+/// drop back to the tree-walk (no typed form, bytecode workers not
+/// requested, an array never materialized) fail here.
+#[test]
+fn parallel_chunks_run_typed_for_every_kernel() {
+    let scale = SparseScale::test(Structure::Uniform, 5);
+    let all: Vec<SparseProgram> = kernels(&scale)
+        .into_iter()
+        .chain(producer_kernels(&scale))
+        .chain(interproc_kernels(&scale))
+        .collect();
+    assert_eq!(all.len(), 14);
+    let mut dispatches = 0;
+    for k in &all {
+        let rep = compile_kernel(k);
+        let t = run_hybrid_config(k, &rep, HybridConfig::default()).telemetry;
+        let committed = t.strategy_write_log + t.strategy_in_place + t.strategy_concat;
+        assert_eq!(t.treewalk_worker_chunks, 0, "{}: {t:?}", k.name);
+        assert!(t.typed_worker_chunks >= committed, "{}: {t:?}", k.name);
+        dispatches += committed;
+    }
+    assert!(dispatches >= 13, "{dispatches} parallel dispatches");
 }
 
 /// The runtime inspectors survive 10M-nonzero index arrays: the
